@@ -22,11 +22,11 @@ pub(crate) struct UsfInner {
 
 impl Drop for UsfInner {
     fn drop(&mut self) {
-        // Safety valve: release scheduler control and ask cached threads to exit. We do not
+        // Safety valve: drain the parked workers and release scheduler control. We do not
         // join here (the last reference may be dropped from a cached worker itself); the
         // explicit `Usf::shutdown` performs the joining variant.
-        self.nosv.shutdown();
         self.cache.request_shutdown();
+        self.nosv.shutdown();
     }
 }
 
@@ -119,7 +119,7 @@ impl Usf {
             Some(name) => NosvInstance::connect(name, config.to_nosv()),
             None => NosvInstance::new(config.to_nosv()),
         };
-        let cache = ThreadCache::new(config.thread_cache_capacity);
+        let cache = ThreadCache::new(nosv.clone(), config.thread_cache_capacity);
         Usf {
             inner: Arc::new(UsfInner {
                 nosv,
@@ -193,9 +193,9 @@ impl Usf {
         self.inner.cache.stats()
     }
 
-    /// Shut the instance down: release every task from scheduler control and terminate and
-    /// join the cached worker threads. Call after joining application threads; must not be
-    /// called from a thread spawned by this instance.
+    /// Shut the instance down: drain the parked workers, release every task from scheduler
+    /// control and join the cached worker threads. Call after joining application threads;
+    /// must not be called from a thread spawned by this instance.
     ///
     /// The worker joins are bounded (see
     /// [`crate::thread::DEFAULT_SHUTDOWN_TIMEOUT`]): a worker wedged in user code is
@@ -221,6 +221,7 @@ impl Usf {
         &self,
         timeout: std::time::Duration,
     ) -> crate::thread::ThreadShutdownReport {
+        self.inner.cache.request_shutdown();
         self.inner.nosv.shutdown();
         self.inner.cache.shutdown_timeout(timeout)
     }
@@ -261,15 +262,16 @@ impl ProcessHandle {
         }
     }
 
-    /// Spawn a cooperative thread in this process domain (the `pthread_create` analog): the
-    /// thread attaches as a scheduler worker, runs `f` once granted a core, and is recycled
-    /// through the thread cache when `f` returns.
+    /// Spawn a cooperative thread in this process domain (the `pthread_create` analog): `f`
+    /// runs on a worker attached to the scheduler once it is granted a core. The worker is
+    /// the domain's most recently parked one, submitted before this returns, or else a
+    /// fresh OS thread; it parks in the thread cache again when `f` returns.
     pub fn spawn<F, T>(&self, f: F) -> JoinHandle<T>
     where
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        spawn_on(&self.inner.nosv, &self.inner.cache, self.pid, None, f)
+        spawn_on(&self.inner.cache, self.pid, None, f)
     }
 
     /// Like [`ProcessHandle::spawn`] with a thread/task label (diagnostics).
@@ -278,13 +280,7 @@ impl ProcessHandle {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        spawn_on(
-            &self.inner.nosv,
-            &self.inner.cache,
-            self.pid,
-            Some(name.into()),
-            f,
-        )
+        spawn_on(&self.inner.cache, self.pid, Some(name.into()), f)
     }
 
     /// Attach the *calling* thread to this process domain (the main thread of a process in
@@ -315,8 +311,10 @@ impl ProcessHandle {
     }
 
     /// Deregister the process domain from the scheduler's quantum rotation. Live threads of
-    /// the domain keep running.
+    /// the domain keep running; its parked cache workers exit first, and later spawns into
+    /// the domain fail in their join.
     pub fn deregister(&self) {
+        self.inner.cache.close_domain(self.pid);
         self.inner.nosv.deregister_process(self.pid);
     }
 
@@ -324,8 +322,11 @@ impl ProcessHandle {
     /// dying (`kill -9`) while its tasks are queued, running and blocked. Queued work is
     /// dropped, running tasks are evicted (their cores immediately re-dispatched to
     /// co-tenants) and every thread parked on one of the domain's tasks resumes as a
-    /// plain OS thread. Co-tenant process domains are unaffected.
+    /// plain OS thread. Co-tenant process domains are unaffected. The domain's parked cache
+    /// workers exit before the scheduler reclaims it, so the report counts only the
+    /// application's threads; later spawns into the domain fail in their join.
     pub fn kill(&self) -> usf_nosv::KillReport {
+        self.inner.cache.close_domain(self.pid);
         self.inner.nosv.kill_process(self.pid)
     }
 }
@@ -461,17 +462,125 @@ mod tests {
         let p = usf.process("app");
         for _ in 0..5 {
             p.spawn(|| ()).join().unwrap();
-            // Give the finished worker a moment to park itself in the cache before the next
-            // spawn (the cache hand-back happens after the join event is set).
-            std::thread::sleep(std::time::Duration::from_millis(20));
         }
+        // A finished worker parks before it signals its join, so each spawn after the
+        // first pops it; only the first attaches.
         let stats = usf.thread_cache_stats();
-        assert_eq!(stats.created + stats.reused, 5);
-        assert!(
-            stats.reused >= 1,
-            "sequential spawn/join must hit the cache: {stats:?}"
-        );
+        assert_eq!(stats.created, 1);
+        assert_eq!(stats.reused, 4);
+        assert_eq!(usf.metrics().attaches, stats.created);
         usf.shutdown();
+        let m = usf.metrics();
+        assert_eq!(m.detaches, m.attaches);
+    }
+
+    #[test]
+    fn warm_spawn_is_ready_before_spawn_returns() {
+        let usf = Usf::builder().cores(1).build();
+        let p = usf.process("app");
+        p.spawn(|| ()).join().unwrap();
+        // Fill the only virtual core, then spawn from the warm cache: the parked worker's
+        // task is submitted by the spawn itself, so the scheduler (and every yielder
+        // asking `has_ready`) sees it at once, without waiting for an OS wake-up.
+        let guard = p.attach_current();
+        let h = p.spawn(|| 5);
+        assert!(
+            usf.stats_snapshot().gauges.ready_tasks >= 1,
+            "a spawn from a warm cache must be ready when spawn returns"
+        );
+        drop(guard);
+        assert_eq!(h.join().unwrap(), 5);
+        assert_eq!(usf.thread_cache_stats().reused, 1);
+        usf.shutdown();
+    }
+
+    #[test]
+    fn shutdown_with_parked_workers_in_two_domains_is_clean_and_prompt() {
+        let usf = Usf::builder().cores(2).build();
+        for name in ["a", "b"] {
+            let p = usf.process(name);
+            let handles: Vec<_> = (0..3).map(|i| p.spawn(move || i)).collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+        }
+        assert!(usf.thread_cache_stats().idle >= 2);
+        let timeout = std::time::Duration::from_secs(10);
+        let start = std::time::Instant::now();
+        let report = usf.shutdown_timeout(timeout);
+        assert!(report.clean(), "parked workers must all join: {report:?}");
+        assert!(
+            start.elapsed() < timeout / 10,
+            "shutdown took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(usf.thread_cache_stats().idle, 0);
+        let m = usf.metrics();
+        assert_eq!(m.detaches, m.attaches);
+    }
+
+    /// Spawns into a domain that is gone fail in their join and never run their closure,
+    /// whether the domain had parked workers or not.
+    fn assert_spawn_fails_after(close: impl FnOnce(&ProcessHandle)) {
+        use std::sync::atomic::AtomicBool;
+        let usf = Usf::builder().cores(2).build();
+        let p = usf.process("gone");
+        p.spawn(|| ()).join().unwrap();
+        assert_eq!(usf.thread_cache_stats().idle, 1);
+        close(&p);
+        assert_eq!(
+            usf.thread_cache_stats().idle,
+            0,
+            "parked workers are drained"
+        );
+        let ran = Arc::new(AtomicBool::new(false));
+        let r = Arc::clone(&ran);
+        let res = p.spawn(move || r.store(true, Ordering::SeqCst)).join();
+        assert!(res.is_err(), "a spawn into a closed domain must fail");
+        assert!(!ran.load(Ordering::SeqCst), "its closure must never run");
+        usf.shutdown();
+        let m = usf.metrics();
+        assert_eq!(m.detaches, m.attaches);
+    }
+
+    #[test]
+    fn spawn_after_kill_fails_without_running() {
+        assert_spawn_fails_after(|p| {
+            p.kill();
+        });
+    }
+
+    #[test]
+    fn spawn_after_deregister_fails_without_running() {
+        assert_spawn_fails_after(ProcessHandle::deregister);
+    }
+
+    #[test]
+    fn domain_killed_behind_the_caches_back_still_fails_spawns() {
+        // A kill through the scheduler directly releases the parked workers without the
+        // cache closing the domain: they leave their stack on their own, or fail the job
+        // a spawn handed them with the attach error.
+        use std::sync::atomic::AtomicBool;
+        let usf = Usf::builder().cores(2).build();
+        let p = usf.process("gone");
+        let handles: Vec<_> = (0..2).map(|_| p.spawn(|| ())).collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        usf.nosv().kill_process(p.id());
+        let ran = Arc::new(AtomicBool::new(false));
+        for _ in 0..3 {
+            let r = Arc::clone(&ran);
+            assert!(p
+                .spawn(move || r.store(true, Ordering::SeqCst))
+                .join()
+                .is_err());
+        }
+        assert!(!ran.load(Ordering::SeqCst));
+        let report = usf.shutdown_timeout(std::time::Duration::from_secs(10));
+        assert!(report.clean(), "{report:?}");
+        let m = usf.metrics();
+        assert_eq!(m.detaches, m.attaches);
     }
 
     #[test]
@@ -500,9 +609,24 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let usf = Usf::builder().cores(1).build();
         let victim = usf.process("victim");
+        // Park six workers in the victim domain first: a barrier keeps every job alive
+        // until all six have started, so each runs on its own fresh thread.
+        let gate = Arc::new(crate::sync::Barrier::new(6));
+        let warm: Vec<_> = (0..6)
+            .map(|_| {
+                let gate = Arc::clone(&gate);
+                victim.spawn(move || {
+                    gate.wait();
+                })
+            })
+            .collect();
+        for h in warm {
+            h.join().unwrap();
+        }
+        assert_eq!(usf.thread_cache_stats().idle, 6);
         let stop = Arc::new(AtomicBool::new(false));
         let started = Arc::new(AtomicUsize::new(0));
-        // Three workers on one core: one runs, the others park in attach. Killing the
+        // Three workers on one core: one runs, the others wait for the core. Killing the
         // process must release all of them (they continue as plain OS threads).
         let handles: Vec<_> = (0..3)
             .map(|_| {
@@ -519,15 +643,17 @@ mod tests {
         while started.load(Ordering::SeqCst) == 0 {
             std::thread::yield_now();
         }
+        assert_eq!(usf.thread_cache_stats().idle, 3);
         let report = victim.kill();
-        assert!(
-            report.running_preempted + report.waiters_released + report.queued_reclaimed >= 1,
-            "kill must have reclaimed something: {report:?}"
-        );
+        // Only application threads are counted: the one running, and at most the two
+        // waiting. The three parked cache workers were drained before the kill.
+        assert_eq!(report.running_preempted, 1, "{report:?}");
+        assert!(report.waiters_released <= 2, "{report:?}");
+        assert_eq!(usf.thread_cache_stats().idle, 0);
         stop.store(true, Ordering::SeqCst);
         for h in handles {
-            // Terminates, never hangs: workers attached before the kill finish normally,
-            // ones that lost the attach race surface an error.
+            // Terminates, never hangs: the worker running before the kill finishes
+            // normally, ones still waiting for the core surface an error.
             let _ = h.join();
         }
         // The freed core serves co-tenants as if the victim never existed.
@@ -535,6 +661,8 @@ mod tests {
         assert_eq!(co.spawn(|| 7).join().unwrap(), 7);
         assert_eq!(usf.metrics().processes_killed, 1);
         usf.shutdown();
+        let m = usf.metrics();
+        assert_eq!(m.detaches, m.attaches);
     }
 
     #[test]

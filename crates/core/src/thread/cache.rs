@@ -3,55 +3,61 @@
 //! glibcv avoids the cost of repeatedly creating and destroying pthreads (the pattern of the
 //! BLIS pthread backend, Table 2) with the intra-process caching-and-reuse strategy of Dice
 //! and Kogan: when a thread's user function ends it is *not* destroyed; it parks in a cache
-//! and the next `pthread_create` reuses the most recently cached thread (LIFO). At shutdown
-//! the cached threads are terminated and joined for real.
+//! and the next `pthread_create` of the same process reuses the most recently cached thread
+//! (LIFO).
+//!
+//! A parked worker stays what it was while it ran: attached to its process domain, with its
+//! task. It pushes itself onto the domain's idle stack and `pause`s in the scheduler. A
+//! spawn pops it, stores the job in its slot and `submit`s its task, so the new thread is
+//! ready — counted by `has_ready()`, which is what a busy-wait barrier's yielders consult —
+//! before `spawn` returns. Only an empty stack costs a fresh OS thread. Parked workers are
+//! drained when their domain is killed or deregistered and when the cache shuts down; the
+//! OS threads are joined for real at shutdown.
 
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::current::{clear_current, set_current, CurrentCtx};
+use crate::park::Event;
+use parking_lot::Mutex;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use usf_nosv::{NosvError, NosvInstance, ProcessId, TaskRef};
 
-/// A unit of work handed to a cached worker thread.
-pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
+/// One spawn, type-erased: the user function and the join packet it reports to.
+pub(crate) trait Job: Send {
+    /// Run the user function on the calling worker, attached as `task`, and keep the
+    /// outcome; or keep the attach error without running it.
+    fn run(&mut self, attached: Result<&TaskRef, NosvError>);
+    /// Hand the kept outcome to the joiner.
+    fn finish(self: Box<Self>);
+}
 
-/// Commands delivered to an idle cached thread.
+/// What a parked worker finds when its pause returns. Whoever pops a worker off its stack
+/// fills the slot before releasing the stack lock, so a worker that is no longer on its
+/// stack always finds the slot filled.
 enum Slot {
-    /// Nothing to do.
-    Idle,
-    /// Run this job, then return to the cache.
-    Run(Job),
-    /// Exit the worker loop.
-    Terminate,
+    /// Nothing yet.
+    Empty,
+    /// Run this job (stored before the task is submitted).
+    Run(Box<dyn Job>),
+    /// Drained: detach and end.
+    Retire,
 }
 
-/// The per-thread mailbox an idle cached worker sleeps on.
-struct Mailbox {
+/// An attached worker, parked on or popped from its domain's idle stack.
+struct Worker {
+    task: TaskRef,
     slot: Mutex<Slot>,
-    cv: Condvar,
+    /// Set once the worker has detached for good.
+    exited: Event,
 }
 
-impl Mailbox {
-    fn new() -> Arc<Self> {
-        Arc::new(Mailbox {
-            slot: Mutex::new(Slot::Idle),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn deliver(&self, s: Slot) {
-        let mut slot = self.slot.lock();
-        *slot = s;
-        self.cv.notify_one();
-    }
-
-    fn receive(&self) -> Slot {
-        let mut slot = self.slot.lock();
-        loop {
-            match std::mem::replace(&mut *slot, Slot::Idle) {
-                Slot::Idle => self.cv.wait(&mut slot),
-                other => return other,
-            }
-        }
-    }
+/// The idle stacks, under one lock.
+#[derive(Default)]
+struct Domains {
+    idle: HashMap<ProcessId, Vec<Arc<Worker>>>,
+    /// Killed or deregistered domains: their workers exit instead of parking.
+    closed: HashSet<ProcessId>,
+    shutdown: bool,
 }
 
 /// Outcome of a bounded [`ThreadCache::shutdown_timeout`].
@@ -74,22 +80,25 @@ impl ThreadShutdownReport {
 /// Counters describing cache effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ThreadCacheStats {
-    /// OS threads actually created.
+    /// Fresh OS threads created: spawns that found their domain's idle stack empty. Each
+    /// attaches to the scheduler once (unless its domain is already gone), so this is the
+    /// scheduler's attach count for spawned threads.
     pub created: u64,
-    /// Spawns served by reusing a cached thread.
+    /// Spawns served by popping a parked worker off its domain's idle stack (no OS thread
+    /// created, no attach).
     pub reused: u64,
-    /// Threads currently parked in the cache.
+    /// Workers currently parked, summed over every domain's idle stack.
     pub idle: u64,
 }
 
-/// LIFO cache of finished worker threads. See the module documentation.
+/// Per-process LIFO stacks of attached, paused workers. See the module documentation.
 pub struct ThreadCache {
-    idle: Mutex<Vec<Arc<Mailbox>>>,
+    nosv: NosvInstance,
+    domains: Mutex<Domains>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     capacity: usize,
     created: AtomicU64,
     reused: AtomicU64,
-    shutdown: AtomicBool,
 }
 
 impl std::fmt::Debug for ThreadCache {
@@ -103,89 +112,194 @@ impl std::fmt::Debug for ThreadCache {
 }
 
 impl ThreadCache {
-    /// Create a cache retaining at most `capacity` idle threads (`0` disables reuse: every
-    /// spawn creates a fresh OS thread that exits when its job ends).
-    pub fn new(capacity: usize) -> Arc<Self> {
+    /// Create a cache for threads of `nosv` keeping at most `capacity` parked workers per
+    /// process domain (`0` disables reuse: every spawn creates a fresh OS thread that
+    /// detaches and exits when its job ends).
+    pub fn new(nosv: NosvInstance, capacity: usize) -> Arc<Self> {
         Arc::new(ThreadCache {
-            idle: Mutex::new(Vec::new()),
+            nosv,
+            domains: Mutex::new(Domains::default()),
             handles: Mutex::new(Vec::new()),
             capacity,
             created: AtomicU64::new(0),
             reused: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
         })
     }
 
     /// Cache effectiveness counters.
     pub fn stats(&self) -> ThreadCacheStats {
+        let idle: usize = self.domains.lock().idle.values().map(Vec::len).sum();
         ThreadCacheStats {
             created: self.created.load(Ordering::Relaxed),
             reused: self.reused.load(Ordering::Relaxed),
-            idle: self.idle.lock().len() as u64,
+            idle: idle as u64,
         }
     }
 
-    /// Run `job` on a cached thread if one is parked, otherwise on a freshly created OS
-    /// thread (which will park itself in the cache when the job ends).
-    pub(crate) fn dispatch(self: &Arc<Self>, name: Option<String>, job: Job) {
-        if let Some(mailbox) = self.idle.lock().pop() {
+    /// Run `job` in process `pid`: on the domain's most recently parked worker if there is
+    /// one (made ready before this returns), otherwise on a fresh OS thread that attaches
+    /// first.
+    pub(crate) fn dispatch(
+        self: &Arc<Self>,
+        pid: ProcessId,
+        name: Option<String>,
+        job: Box<dyn Job>,
+    ) {
+        let mut domains = self.domains.lock();
+        if let Some(worker) = domains.idle.get_mut(&pid).and_then(Vec::pop) {
+            *worker.slot.lock() = Slot::Run(job);
+            drop(domains);
             self.reused.fetch_add(1, Ordering::Relaxed);
-            mailbox.deliver(Slot::Run(job));
+            // A worker that has not reached its pause yet counts this as a pending
+            // wake-up, and its pause returns at once.
+            self.nosv.submit(&worker.task);
             return;
         }
+        drop(domains);
         self.created.fetch_add(1, Ordering::Relaxed);
         let cache = Arc::clone(self);
-        let mailbox = Mailbox::new();
-        let mb = Arc::clone(&mailbox);
         let mut builder = std::thread::Builder::new();
-        if let Some(n) = name {
-            builder = builder.name(n);
+        if let Some(n) = &name {
+            builder = builder.name(n.clone());
         }
         let handle = builder
-            .spawn(move || {
-                job();
-                cache.worker_loop(mb);
-            })
+            .spawn(move || cache.serve(pid, name, job))
             .expect("failed to spawn worker thread");
         self.handles.lock().push(handle);
     }
 
-    /// Worker side: park in the cache and serve further jobs until terminated or evicted.
-    fn worker_loop(self: &Arc<Self>, mailbox: Arc<Mailbox>) {
+    /// Body of a cache OS thread: attach to `pid`, then serve jobs until retired. The
+    /// attach can fail (the domain was killed or deregistered, the scheduler shut down);
+    /// the job then reports the error to its joiner and runs nowhere. A worker released
+    /// while holding an unrun job attaches afresh for it, which fails the same way.
+    fn serve(&self, pid: ProcessId, label: Option<String>, mut job: Box<dyn Job>) {
         loop {
-            {
-                // The shutdown check must happen under the same lock as the idle push:
-                // checked before taking the lock, a concurrent `request_shutdown` could
-                // drain `idle` between the check and the push, and this thread would
-                // park in a list nobody will ever deliver `Terminate` to (hanging the
-                // final join). `request_shutdown` sets the flag before draining, so
-                // whichever side takes the lock second sees the other's write.
-                let mut idle = self.idle.lock();
-                if self.shutdown.load(Ordering::Acquire) {
+            let handle = match self.nosv.try_attach(pid, label.as_deref()) {
+                Ok(handle) => handle,
+                Err(e) => {
+                    job.run(Err(e));
+                    job.finish();
                     return;
                 }
-                if idle.len() >= self.capacity {
-                    // Cache full (or caching disabled): this thread really exits.
+            };
+            let worker = Arc::new(Worker {
+                task: handle.task().clone(),
+                slot: Mutex::new(Slot::Empty),
+                exited: Event::new(),
+            });
+            let unrun = loop {
+                set_current(CurrentCtx {
+                    task: worker.task.clone(),
+                    nosv: self.nosv.clone(),
+                    process: pid,
+                });
+                job.run(Ok(&worker.task));
+                clear_current();
+                // Park before signalling: a spawn that follows the join finds this worker
+                // on the stack.
+                if !self.park(pid, &worker) {
+                    handle.detach();
+                    job.finish();
                     return;
                 }
-                idle.push(Arc::clone(&mailbox));
-            }
-            match mailbox.receive() {
-                Slot::Run(job) => job(),
-                Slot::Terminate => return,
-                Slot::Idle => unreachable!("receive never returns Idle"),
+                job.finish();
+                match self.await_job(pid, &worker) {
+                    Some(next) if !worker.task.is_released() => job = next,
+                    other => break other,
+                }
+            };
+            handle.detach();
+            worker.exited.set();
+            match unrun {
+                Some(next) => job = next,
+                None => return,
             }
         }
     }
 
-    /// Ask cached threads to terminate without joining them (safe to call from any thread,
-    /// including a cached worker itself).
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        let idle = std::mem::take(&mut *self.idle.lock());
-        for mailbox in idle {
-            mailbox.deliver(Slot::Terminate);
+    /// Push `worker` onto its domain's idle stack. `false` when it must exit instead: the
+    /// cache is shutting down, the domain is closed, or the stack is full.
+    fn park(&self, pid: ProcessId, worker: &Arc<Worker>) -> bool {
+        let mut domains = self.domains.lock();
+        if domains.shutdown || domains.closed.contains(&pid) {
+            return false;
         }
+        let stack = domains.idle.entry(pid).or_default();
+        if stack.len() >= self.capacity {
+            return false;
+        }
+        stack.push(Arc::clone(worker));
+        true
+    }
+
+    /// Pause until a spawn hands `worker` a job (`Some`) or the worker must go (`None`).
+    fn await_job(&self, pid: ProcessId, worker: &Arc<Worker>) -> Option<Box<dyn Job>> {
+        loop {
+            // Pause first: it consumes exactly the one submit a popping spawn owes, and
+            // returns at once for a released task.
+            self.nosv.scheduler().pause(&worker.task);
+            // Let go of the slot lock before the stack lock is taken below: spawns and
+            // drains take the two in the other order.
+            let slot = std::mem::replace(&mut *worker.slot.lock(), Slot::Empty);
+            match slot {
+                Slot::Run(job) => return Some(job),
+                Slot::Retire => return None,
+                Slot::Empty if worker.task.is_released() => {
+                    // Released by the scheduler (a kill, deregister or shutdown the cache
+                    // was not told about) while parked: leave the stack. If someone
+                    // popped us first, the slot is already filled and the next pause
+                    // returns at once.
+                    let mut domains = self.domains.lock();
+                    if let Some(stack) = domains.idle.get_mut(&pid) {
+                        if let Some(i) = stack.iter().position(|w| Arc::ptr_eq(w, worker)) {
+                            stack.remove(i);
+                            return None;
+                        }
+                    }
+                }
+                // A stale wake-up: pause again.
+                Slot::Empty => {}
+            }
+        }
+    }
+
+    /// Take the parked workers of `pid` (of every domain when `None`) off their stacks and
+    /// retire them: each leaves its pause at once, detaches and ends. The slots are filled
+    /// under the stack lock (see [`Slot`]).
+    fn retire(&self, domains: &mut Domains, pid: Option<ProcessId>) -> Vec<Arc<Worker>> {
+        let drained: Vec<Arc<Worker>> = match pid {
+            Some(pid) => domains.idle.remove(&pid).unwrap_or_default(),
+            None => domains.idle.drain().flat_map(|(_, stack)| stack).collect(),
+        };
+        for w in &drained {
+            *w.slot.lock() = Slot::Retire;
+            self.nosv.scheduler().release_task(&w.task);
+        }
+        drained
+    }
+
+    /// Close domain `pid` before the scheduler reclaims it (kill or deregister): its parked
+    /// workers have detached when this returns, and workers finishing a job there exit
+    /// instead of parking. Spawns into the domain create fresh threads, whose attach then
+    /// reports why the domain is gone.
+    pub(crate) fn close_domain(&self, pid: ProcessId) {
+        let drained = {
+            let mut domains = self.domains.lock();
+            domains.closed.insert(pid);
+            self.retire(&mut domains, Some(pid))
+        };
+        for w in &drained {
+            w.exited.wait();
+        }
+    }
+
+    /// Ask cached threads to terminate without joining them (safe to call from any thread,
+    /// including a cached worker itself): parked workers are drained, and workers still
+    /// running a job exit when it ends.
+    pub fn request_shutdown(&self) {
+        let mut domains = self.domains.lock();
+        domains.shutdown = true;
+        self.retire(&mut domains, None);
     }
 
     /// Terminate and join every thread ever created by the cache. Must not be called from a
@@ -241,131 +355,165 @@ pub const DEFAULT_SHUTDOWN_TIMEOUT: std::time::Duration = std::time::Duration::f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::thread::spawn_on;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::time::Duration;
+    use usf_nosv::NosvConfig;
+
+    fn setup(cores: usize, capacity: usize) -> (NosvInstance, Arc<ThreadCache>, ProcessId) {
+        let nosv = NosvInstance::new(NosvConfig::with_cores(cores));
+        let pid = nosv.register_process("cache-test");
+        (nosv.clone(), ThreadCache::new(nosv, capacity), pid)
+    }
 
     #[test]
     fn jobs_run_and_threads_are_reused() {
-        let cache = ThreadCache::new(8);
+        let (nosv, cache, pid) = setup(2, 8);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..4 {
             let c = Arc::clone(&counter);
-            cache.dispatch(
-                None,
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
-            // Serialize so the previous thread has time to park before the next dispatch.
-            std::thread::sleep(Duration::from_millis(20));
+            spawn_on(&cache, pid, None, move || {
+                c.fetch_add(1, Ordering::SeqCst);
+            })
+            .join()
+            .unwrap();
         }
         assert_eq!(counter.load(Ordering::SeqCst), 4);
+        // The worker parks before it signals the join, so every later spawn hits the cache.
         let stats = cache.stats();
-        assert_eq!(stats.created + stats.reused, 4);
-        assert!(
-            stats.reused >= 1,
-            "sequential spawns should reuse cached threads: {stats:?}"
-        );
+        assert_eq!((stats.created, stats.reused, stats.idle), (1, 3, 1));
+        assert_eq!(nosv.metrics().attaches, 1);
         cache.shutdown();
+        assert_eq!(nosv.metrics().detaches, 1);
+        assert_eq!(cache.stats().idle, 0);
     }
 
     #[test]
     fn zero_capacity_disables_reuse() {
-        let cache = ThreadCache::new(0);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..3 {
-            let c = Arc::clone(&counter);
-            cache.dispatch(
-                None,
-                Box::new(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
-            std::thread::sleep(Duration::from_millis(10));
+        let (nosv, cache, pid) = setup(2, 0);
+        for i in 0..3 {
+            assert_eq!(spawn_on(&cache, pid, None, move || i).join().unwrap(), i);
         }
-        cache.shutdown();
-        assert_eq!(counter.load(Ordering::SeqCst), 3);
         let stats = cache.stats();
-        assert_eq!(stats.created, 3);
-        assert_eq!(stats.reused, 0);
+        assert_eq!((stats.created, stats.reused, stats.idle), (3, 0, 0));
+        // Without a cache every worker detaches before it signals its join.
+        let m = nosv.metrics();
+        assert_eq!((m.attaches, m.detaches), (3, 3));
+        cache.shutdown();
+    }
+
+    #[test]
+    fn stacks_are_per_process() {
+        let (nosv, cache, a) = setup(2, 8);
+        let b = nosv.register_process("other");
+        spawn_on(&cache, a, None, || ()).join().unwrap();
+        // A parked worker of `a` is never handed a job of `b`.
+        let task_b = spawn_on(&cache, b, None, || {
+            crate::current::current().unwrap().process
+        });
+        assert_eq!(task_b.join().unwrap(), b);
+        let stats = cache.stats();
+        assert_eq!((stats.created, stats.reused, stats.idle), (2, 0, 2));
+        cache.shutdown();
     }
 
     #[test]
     fn named_threads_get_their_name() {
-        let cache = ThreadCache::new(1);
-        let (tx, rx) = std::sync::mpsc::channel();
-        cache.dispatch(
-            Some("usf-worker-x".to_string()),
-            Box::new(move || {
-                tx.send(std::thread::current().name().map(str::to_owned))
-                    .unwrap();
-            }),
-        );
-        assert_eq!(rx.recv().unwrap().as_deref(), Some("usf-worker-x"));
+        let (_nosv, cache, pid) = setup(2, 1);
+        let h = spawn_on(&cache, pid, Some("usf-worker-x".to_string()), || {
+            std::thread::current().name().map(str::to_owned)
+        });
+        assert_eq!(h.join().unwrap().as_deref(), Some("usf-worker-x"));
         cache.shutdown();
     }
 
     #[test]
     fn shutdown_is_idempotent_and_joins_everything() {
-        let cache = ThreadCache::new(4);
-        for _ in 0..3 {
-            cache.dispatch(None, Box::new(|| {}));
+        let (nosv, cache, pid) = setup(2, 4);
+        let handles: Vec<_> = (0..3).map(|_| spawn_on(&cache, pid, None, || ())).collect();
+        for h in handles {
+            h.join().unwrap();
         }
-        cache.shutdown();
+        let report = cache.shutdown_timeout(Duration::from_secs(10));
+        assert!(report.clean(), "{report:?}");
+        assert_eq!(report.joined as u64, cache.stats().created);
         cache.shutdown();
         assert_eq!(cache.stats().idle, 0);
+        let m = nosv.metrics();
+        assert_eq!(m.detaches, m.attaches);
     }
 
     #[test]
     fn shutdown_timeout_reports_wedged_workers_instead_of_hanging() {
-        let cache = ThreadCache::new(4);
+        let (_nosv, cache, pid) = setup(2, 4);
         let release = Arc::new(AtomicBool::new(false));
         let rel = Arc::clone(&release);
-        cache.dispatch(
-            Some("wedged-worker".to_string()),
-            Box::new(move || {
-                while !rel.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }),
-        );
-        cache.dispatch(None, Box::new(|| {}));
+        let _wedged = spawn_on(&cache, pid, Some("wedged-worker".to_string()), move || {
+            while !rel.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        spawn_on(&cache, pid, None, || ()).join().unwrap();
         let report = cache.shutdown_timeout(Duration::from_millis(100));
-        assert_eq!(report.joined, 1, "the healthy worker joins");
+        assert_eq!(
+            report.joined, 1,
+            "the parked healthy worker is drained and joins"
+        );
         assert_eq!(report.stragglers, vec!["wedged-worker".to_string()]);
         assert!(!report.clean());
         release.store(true, Ordering::SeqCst); // let the abandoned thread exit
     }
 
     #[test]
+    fn closing_a_domain_retires_its_parked_workers() {
+        let (nosv, cache, pid) = setup(2, 8);
+        let handles: Vec<_> = (0..3).map(|_| spawn_on(&cache, pid, None, || ())).collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let parked = cache.stats().idle;
+        assert!(parked >= 1);
+        cache.close_domain(pid);
+        // Drained workers have detached by the time close_domain returns.
+        let m = nosv.metrics();
+        assert_eq!(cache.stats().idle, 0);
+        assert_eq!(m.detaches, parked);
+        cache.shutdown();
+        let m = nosv.metrics();
+        assert_eq!(m.detaches, m.attaches);
+    }
+
+    #[test]
     fn concurrent_dispatches_all_run() {
-        let cache = ThreadCache::new(16);
+        let (nosv, cache, pid) = setup(2, 16);
         let counter = Arc::new(AtomicUsize::new(0));
         let mut outer = Vec::new();
         for _ in 0..4 {
             let cache = Arc::clone(&cache);
             let counter = Arc::clone(&counter);
             outer.push(std::thread::spawn(move || {
-                for _ in 0..16 {
-                    let c = Arc::clone(&counter);
-                    cache.dispatch(
-                        None,
-                        Box::new(move || {
+                let handles: Vec<_> = (0..16)
+                    .map(|_| {
+                        let c = Arc::clone(&counter);
+                        spawn_on(&cache, pid, None, move || {
                             c.fetch_add(1, Ordering::SeqCst);
-                        }),
-                    );
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    h.join().unwrap();
                 }
             }));
         }
         for h in outer {
             h.join().unwrap();
         }
-        // Wait for all 64 jobs to finish.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while counter.load(Ordering::SeqCst) < 64 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
         assert_eq!(counter.load(Ordering::SeqCst), 64);
+        let stats = cache.stats();
+        assert_eq!(stats.created + stats.reused, 64);
+        assert_eq!(nosv.metrics().attaches, stats.created);
         cache.shutdown();
+        let m = nosv.metrics();
+        assert_eq!(m.detaches, m.attaches);
     }
 }

@@ -1,25 +1,25 @@
 //! Cooperative thread creation — the `pthread_create` extension of glibcv (§4.3.1).
 //!
-//! [`ProcessHandle::spawn`](crate::runtime::ProcessHandle::spawn) wraps the user function:
-//! the spawned OS thread first attaches itself to the nOS-V scheduler (becoming a worker
-//! with an associated task) and only then runs the user code, pinned to the virtual core the
-//! scheduler granted it. When the user function returns, the worker detaches and parks in
-//! the [`cache::ThreadCache`] instead of exiting; `join` is *masked* — it waits on an event
-//! set by the wrapper rather than on OS thread termination, exactly like glibcv masks
-//! `pthread_join` when a thread is placed in the cache.
+//! [`ProcessHandle::spawn`](crate::runtime::ProcessHandle::spawn) runs the user function on
+//! a worker attached to the nOS-V scheduler (an OS thread with an associated task), pinned
+//! to the virtual core the scheduler granted it. A fresh OS thread attaches before its first
+//! job; when a job returns, the worker stays attached and parks, paused, in the
+//! [`cache::ThreadCache`], and the next spawn in the same process submits it again. `join`
+//! is *masked* — it waits on an event set by the worker rather than on OS thread
+//! termination, exactly like glibcv masks `pthread_join` when a thread is placed in the
+//! cache.
 
 pub mod cache;
 
 pub use cache::{ThreadCache, ThreadCacheStats, ThreadShutdownReport, DEFAULT_SHUTDOWN_TIMEOUT};
 
-use crate::current::{clear_current, set_current, CurrentCtx};
 use crate::error::UsfError;
 use crate::park::Event;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
-use usf_nosv::{NosvInstance, ProcessId, TaskRef};
+use usf_nosv::{NosvError, ProcessId, TaskRef};
 
 /// Shared completion slot between a spawned thread and its [`JoinHandle`].
 struct Packet<T> {
@@ -96,10 +96,37 @@ impl<T> JoinHandle<T> {
     }
 }
 
-/// Spawn a cooperative thread in process `pid` of the given instance, using `cache` for
-/// worker reuse. Used by [`crate::runtime::ProcessHandle::spawn`].
+/// The typed side of a spawn: the user function and its join packet.
+struct Spawn<F, T> {
+    f: Option<F>,
+    packet: Arc<Packet<T>>,
+}
+
+impl<F, T> cache::Job for Spawn<F, T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    fn run(&mut self, attached: Result<&TaskRef, NosvError>) {
+        let result = match attached {
+            Ok(task) => {
+                *self.packet.task.lock() = Some(task.clone());
+                let f = self.f.take().expect("a spawn runs once");
+                catch_unwind(AssertUnwindSafe(f))
+            }
+            Err(e) => Err(Box::new(format!("usf spawn: attach failed: {e}")) as _),
+        };
+        *self.packet.result.lock() = Some(result);
+    }
+
+    fn finish(self: Box<Self>) {
+        self.packet.done.set();
+    }
+}
+
+/// Spawn a cooperative thread in process `pid` through `cache`. Used by
+/// [`crate::runtime::ProcessHandle::spawn`].
 pub(crate) fn spawn_on<F, T>(
-    nosv: &NosvInstance,
     cache: &Arc<ThreadCache>,
     pid: ProcessId,
     name: Option<String>,
@@ -114,61 +141,37 @@ where
         done: Event::new(),
         task: Mutex::new(None),
     });
-    let packet2 = Arc::clone(&packet);
-    let nosv = nosv.clone();
-    let label = name.clone();
-    let job = Box::new(move || {
-        // Attach: the thread is recruited as a nOS-V worker and blocks here until the
-        // scheduler grants it a core (it can no longer run freely). The attach can lose a
-        // race against shutdown or a process kill; the failure must land in the join
-        // packet as an error — a panic here would skip `done.set()` and hang the joiner.
-        let result =
-            match nosv.try_attach(pid, label.as_deref()) {
-                Ok(handle) => {
-                    *packet2.task.lock() = Some(handle.task().clone());
-                    set_current(CurrentCtx {
-                        task: handle.task().clone(),
-                        nosv: nosv.clone(),
-                        process: pid,
-                    });
-                    let result = catch_unwind(AssertUnwindSafe(f));
-                    clear_current();
-                    handle.detach();
-                    result
-                }
-                Err(e) => Err(Box::new(format!("usf spawn: attach failed: {e}"))
-                    as Box<dyn std::any::Any + Send>),
-            };
-        *packet2.result.lock() = Some(result);
-        packet2.done.set();
-    });
-    cache.dispatch(name, job);
+    let job = Spawn {
+        f: Some(f),
+        packet: Arc::clone(&packet),
+    };
+    cache.dispatch(pid, name, Box::new(job));
     JoinHandle { packet }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usf_nosv::NosvConfig;
+    use usf_nosv::{NosvConfig, NosvInstance};
 
     fn setup(cores: usize) -> (NosvInstance, Arc<ThreadCache>, ProcessId) {
         let nosv = NosvInstance::new(NosvConfig::with_cores(cores));
         let pid = nosv.register_process("test");
-        (nosv, ThreadCache::new(32), pid)
+        (nosv.clone(), ThreadCache::new(nosv, 32), pid)
     }
 
     #[test]
     fn spawn_and_join_returns_value() {
-        let (nosv, cache, pid) = setup(2);
-        let h = spawn_on(&nosv, &cache, pid, Some("t1".into()), || 21 * 2);
+        let (_, cache, pid) = setup(2);
+        let h = spawn_on(&cache, pid, Some("t1".into()), || 21 * 2);
         assert_eq!(h.join().unwrap(), 42);
         cache.shutdown();
     }
 
     #[test]
     fn join_reports_panics() {
-        let (nosv, cache, pid) = setup(2);
-        let h = spawn_on(&nosv, &cache, pid, None, || panic!("boom"));
+        let (_, cache, pid) = setup(2);
+        let h = spawn_on(&cache, pid, None, || panic!("boom"));
         let err = h.join_result().unwrap_err();
         assert!(matches!(err, UsfError::ThreadPanicked(msg) if msg.contains("boom")));
         cache.shutdown();
@@ -176,8 +179,8 @@ mod tests {
 
     #[test]
     fn join_timeout_returns_handle_when_still_running() {
-        let (nosv, cache, pid) = setup(2);
-        let h = spawn_on(&nosv, &cache, pid, None, || {
+        let (_, cache, pid) = setup(2);
+        let h = spawn_on(&cache, pid, None, || {
             std::thread::sleep(Duration::from_millis(100));
             5
         });
@@ -194,21 +197,25 @@ mod tests {
         // 1 virtual core, 8 threads: they must run one at a time and all complete.
         let (nosv, cache, pid) = setup(1);
         let handles: Vec<_> = (0..8)
-            .map(|i| spawn_on(&nosv, &cache, pid, None, move || i))
+            .map(|i| spawn_on(&cache, pid, None, move || i))
             .collect();
         let sum: i32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(sum, (0..8).sum());
-        // The scheduler saw 8 attaches/detaches and never ran two at once.
-        let m = nosv.metrics();
-        assert_eq!(m.attaches, 8);
-        assert_eq!(m.detaches, 8);
+        // Exact cache accounting: every spawn was served by a fresh thread or a parked
+        // one, only fresh threads attach, and every attached worker detaches by the end
+        // of the shutdown.
+        let stats = cache.stats();
+        assert_eq!(stats.created + stats.reused, 8);
+        assert_eq!(nosv.metrics().attaches, stats.created);
         cache.shutdown();
+        let m = nosv.metrics();
+        assert_eq!(m.detaches, m.attaches);
     }
 
     #[test]
     fn spawned_thread_is_attached_and_reports_task() {
-        let (nosv, cache, pid) = setup(2);
-        let h = spawn_on(&nosv, &cache, pid, None, crate::current::is_attached);
+        let (_, cache, pid) = setup(2);
+        let h = spawn_on(&cache, pid, None, crate::current::is_attached);
         let attached = h.join().unwrap();
         assert!(attached, "spawned closure must observe an attached context");
         cache.shutdown();
@@ -216,8 +223,8 @@ mod tests {
 
     #[test]
     fn is_finished_becomes_true() {
-        let (nosv, cache, pid) = setup(2);
-        let h = spawn_on(&nosv, &cache, pid, None, || ());
+        let (_, cache, pid) = setup(2);
+        let h = spawn_on(&cache, pid, None, || ());
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while !h.is_finished() && std::time::Instant::now() < deadline {
             std::thread::yield_now();

@@ -38,14 +38,21 @@ pub fn sleep(duration: Duration) {
 /// atomic load on the scheduler's ready gauge; neither the task's grant lock nor the
 /// global scheduler lock is touched, so yield storms cannot contend with submitters on
 /// other cores.
+///
+/// A yield that keeps the virtual core still yields the host CPU. Virtual cores are not
+/// pinned to host CPUs, so the OS thread of a task just granted a core can be queued on
+/// the CPU a spinner occupies, and the kernel need not preempt the spinner before its
+/// time slice ends (milliseconds). nOS-V pins each worker to its own CPU, so there the
+/// question never arises.
 pub fn yield_now() -> bool {
-    match current() {
+    let switched = match current() {
         Some(ctx) => ctx.nosv.scheduler().yield_now(&ctx.task),
-        None => {
-            std::thread::yield_now();
-            false
-        }
+        None => false,
+    };
+    if !switched {
+        std::thread::yield_now();
     }
+    switched
 }
 
 /// Busy-wait for `spins` iterations, yielding every `yield_every` iterations if provided.

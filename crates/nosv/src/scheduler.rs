@@ -1409,6 +1409,16 @@ impl Scheduler {
         self.dispatch_sweep();
     }
 
+    /// Release one task from scheduler control, as [`Scheduler::shutdown`] does for every
+    /// task: its worker's current or next wait returns at once and the thread runs as a
+    /// plain OS thread until it detaches. A core the task holds stays held until that
+    /// detach. Safe to call from any thread; a task already released is left as it is.
+    pub fn release_task(&self, task: &TaskRef) {
+        if task.release_if_unreleased() {
+            task.grant_cv.notify_all();
+        }
+    }
+
     /// Shut the scheduler down: every task waiting for a core is released from scheduler
     /// control and resumes as a plain OS thread. This is a safety valve used by the USF
     /// layer at instance teardown so that buggy applications can never leave threads parked

@@ -151,10 +151,11 @@ impl Task {
         self.proc_cell.domain()
     }
 
-    /// Whether the task has been released from scheduler control (detach, kill, shutdown).
-    /// Serves as the shard-local staleness check: a released task's intake entries and
-    /// queued placeholders are dead and must only reconcile the ready gauge.
-    pub(crate) fn is_released(&self) -> bool {
+    /// Whether the task has been released from scheduler control (detach, kill,
+    /// deregister, shutdown, [`crate::scheduler::Scheduler::release_task`]). Inside the
+    /// scheduler it is the shard-local staleness check: a released task's intake entries
+    /// and queued placeholders are dead and must only reconcile the ready gauge.
+    pub fn is_released(&self) -> bool {
         self.grant.lock().released
     }
 

@@ -38,13 +38,19 @@ fn two_process_domains_oversubscribed_complete() {
         h.join().unwrap();
     }
     assert_eq!(counter.load(Ordering::SeqCst), 12);
+    // Exact cache accounting: each spawn ran on a fresh thread (which attached once) or on
+    // a parked worker of its domain (which did not attach again).
+    let stats = usf.thread_cache_stats();
+    assert_eq!(stats.created + stats.reused, 12);
     let m = usf.metrics();
-    assert_eq!(m.attaches, 12);
-    assert_eq!(m.detaches, 12);
+    assert_eq!(m.attaches, stats.created);
     assert!(m.grants >= 12);
     // The sleeps guarantee real scheduling points happened.
     assert!(m.waitfors >= 12);
     usf.shutdown();
+    // Every attached worker, parked or not, has detached once the instance is shut down.
+    let m = usf.metrics();
+    assert_eq!(m.detaches, m.attaches);
 }
 
 /// The full set of blocking primitives used together on one virtual core: if any of them
