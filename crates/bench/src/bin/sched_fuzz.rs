@@ -11,9 +11,9 @@
 //!    `LostTask`, then shrink the counterexample and require it to reach one op. A silent
 //!    canary fails the run immediately.
 //! 2. **sweep** — `--seeds` seeded sequences per config over the whole config matrix
-//!    (base / aging-valve / shutdown-biased / domain-heavy / sharded / sharded-valve /
-//!    split-lock / split-valve); every run must hold all invariants. `--smoke` (CI mode)
-//!    runs 256 seeds × 8 configs = 2048 interleavings.
+//!    (base / aging-valve / shutdown-biased / domain-heavy / split-lock / split-valve /
+//!    split-3node); every run must hold all invariants. `--smoke` (CI mode) runs
+//!    256 seeds × 7 configs = 1792 interleavings.
 //! 3. **replay** (only when built with `--features sched-trace`) — each sweep run is
 //!    recorded and re-executed through the simulator's SCHED_COOP instantiation
 //!    (`usf_simsched::replay`); any real-vs-sim drift fails the run.
@@ -31,7 +31,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--smoke",
         value_name: None,
-        help: "CI mode: 256 seeds x 8 configs = 2048 interleavings",
+        help: "CI mode: 256 seeds x 7 configs = 1792 interleavings",
     },
     FlagSpec {
         name: "--seeds",
@@ -63,10 +63,9 @@ fn matrix() -> Vec<(&'static str, FuzzConfig)> {
         ("valve", FuzzConfig::valve()),
         ("shutdown", FuzzConfig::shutdown_biased()),
         ("domains", FuzzConfig::domain_heavy()),
-        ("sharded", FuzzConfig::sharded()),
-        ("sharded-valve", FuzzConfig::sharded_valve()),
         ("split-lock", FuzzConfig::split_lock()),
         ("split-valve", FuzzConfig::split_valve()),
+        ("split-3node", FuzzConfig::split_3node()),
     ]
 }
 

@@ -68,16 +68,11 @@ pub struct FuzzConfig {
     pub allow_shutdown: bool,
     /// Bias generation towards domain pin/unpin churn.
     pub pin_bias: bool,
-    /// Install the per-NUMA-node sharded ready-queue backing
-    /// ([`crate::config::PolicyKind::CoopSharded`]) instead of the flat one. Pick
-    /// sequences are specified to be identical, so every oracle holds unchanged.
-    pub sharded: bool,
     /// Install the split-lock scheduler ([`crate::config::PolicyKind::CoopSplit`]): one
     /// dispatch lock and one policy instance per NUMA node, with cross-shard stealing
     /// and the cross-shard aging valve arbitrating between them. The fuzz harness is
     /// serial, so every `try_lock` probe succeeds and the recorded schedules replay
-    /// deterministically through the simulator's split path. Takes precedence over
-    /// `sharded` when both are set.
+    /// deterministically through the simulator's split path.
     pub split: bool,
 }
 
@@ -94,7 +89,6 @@ impl FuzzConfig {
             ops: 64,
             allow_shutdown: false,
             pin_bias: false,
-            sharded: false,
             split: false,
         }
     }
@@ -128,28 +122,6 @@ impl FuzzConfig {
         }
     }
 
-    /// [`FuzzConfig::base`] over the per-node sharded ready queues, with shutdown
-    /// interleavings allowed: same invariants, sharded storage.
-    pub fn sharded() -> Self {
-        FuzzConfig {
-            sharded: true,
-            allow_shutdown: true,
-            ..Self::base()
-        }
-    }
-
-    /// Sharded variant of [`FuzzConfig::valve`] — but on a 4-core / 2-node topology so
-    /// the aging valve's cross-shard scan (not just the trivial single-shard case) runs
-    /// on every pop.
-    pub fn sharded_valve() -> Self {
-        FuzzConfig {
-            sharded: true,
-            slots: 12,
-            quantum: Duration::from_nanos(1),
-            ..Self::base()
-        }
-    }
-
     /// [`FuzzConfig::base`] over the split-lock scheduler (two dispatch locks on the
     /// 4-core / 2-node topology) with shutdown interleavings allowed: cross-shard
     /// steals, the multi-shard teardown paths, and the shard-routing of every
@@ -162,15 +134,26 @@ impl FuzzConfig {
         }
     }
 
-    /// Split-lock variant of [`FuzzConfig::sharded_valve`]: a 1 ns quantum makes the
-    /// *cross-shard* aging valve fire on essentially every pop, so the valve tier and
-    /// the steal tier compete constantly.
+    /// Split-lock variant of [`FuzzConfig::valve`] on the 4-core / 2-node topology: a
+    /// 1 ns quantum makes the *cross-shard* aging valve fire on essentially every pop, so
+    /// the valve tier and the steal tier compete constantly.
     pub fn split_valve() -> Self {
         FuzzConfig {
             split: true,
             slots: 12,
             quantum: Duration::from_nanos(1),
             ..Self::base()
+        }
+    }
+
+    /// [`FuzzConfig::split_valve`] on 6 cores / 3 nodes: with three shards the valve and
+    /// the steal each walk two victims in ring order, so skipped and wrapped victims
+    /// (which two shards cannot produce) run under the full oracle set.
+    pub fn split_3node() -> Self {
+        FuzzConfig {
+            cores: 6,
+            nodes: 3,
+            ..Self::split_valve()
         }
     }
 }
@@ -724,8 +707,6 @@ fn build_scheduler(cfg: &FuzzConfig) -> Scheduler {
         NosvConfig::with_topology(Topology::new(cfg.cores, cfg.nodes)).quantum(cfg.quantum);
     if cfg.split {
         config = config.policy(crate::config::PolicyKind::CoopSplit);
-    } else if cfg.sharded {
-        config = config.policy(crate::config::PolicyKind::CoopSharded);
     }
     Scheduler::new(config)
 }
@@ -899,10 +880,9 @@ mod tests {
             FuzzConfig::valve(),
             FuzzConfig::shutdown_biased(),
             FuzzConfig::domain_heavy(),
-            FuzzConfig::sharded(),
-            FuzzConfig::sharded_valve(),
             FuzzConfig::split_lock(),
             FuzzConfig::split_valve(),
+            FuzzConfig::split_3node(),
         ] {
             for seed in 0..8 {
                 let ops = generate(&cfg, seed);
@@ -1053,8 +1033,8 @@ mod tests {
             FuzzConfig::base(),
             FuzzConfig::valve(),
             FuzzConfig::shutdown_biased(),
-            FuzzConfig::sharded_valve(),
             FuzzConfig::split_valve(),
+            FuzzConfig::split_3node(),
         ] {
             for seed in 0..6 {
                 let ops = generate(&cfg, seed);

@@ -72,7 +72,6 @@ impl TraceMeta {
             quantum_nanos: config.process_quantum.as_nanos() as u64,
             policy: match &config.policy {
                 PolicyKind::Coop => "sched_coop".to_string(),
-                PolicyKind::CoopSharded => "sched_coop_sharded".to_string(),
                 PolicyKind::CoopSplit => "sched_coop_split".to_string(),
                 PolicyKind::Fifo => "fifo".to_string(),
                 PolicyKind::Custom(_) => "custom".to_string(),

@@ -70,7 +70,7 @@ use crate::metrics::SchedulerMetrics;
 use crate::obs::{GaugesSnapshot, ProcessGauges, StatsRegistry, StatsSample, StatsSnapshot};
 use crate::policy::{classify_placement, PlacementKind, Policy, TaskMeta};
 use crate::process::{ProcessId, ProcessInfo};
-use crate::readyq::{CrossValve, PickTier};
+use crate::readyq::{split_pick, CrossValve, PickTier, ShardVisit};
 use crate::sched_trace::TraceEvent;
 use crate::task::{Task, TaskId, TaskRef, TaskState, WaitOutcome};
 use crate::topology::{CoreId, Topology};
@@ -1841,15 +1841,14 @@ impl Scheduler {
         }
     }
 
-    /// One pick attempt for `core` across the shard boundary, in strict priority order:
-    ///
-    /// 1. **Cross-shard aging valve** (rate-limited to one probe per quantum per shard):
-    ///    a foreign shard's over-aged work is taken ahead of local work, so per-node
-    ///    locking cannot starve a task whose home node went quiet. Foreign shards are
-    ///    reached by `try_lock` only — a busy victim is skipped, never waited on.
-    /// 2. **Local pick** through the shard policy's normal tiers.
-    /// 3. **Cross-shard steal** on local exhaustion (also `try_lock`-only), oldest-victim
-    ///    order starting at the next node.
+    /// One pick attempt for `core` across the shard boundary: the [`split_pick`] ladder
+    /// (cross-shard aging valve, local tiers, cross-shard steal) over this scheduler's
+    /// shards. The valve is rate-limited to one probe per quantum per shard, so per-node
+    /// locking cannot starve a task whose home node went quiet. Foreign shards are probed
+    /// only when their `shard_ready` gauge is non-zero and reached by `try_lock` only — a
+    /// busy victim is skipped, never waited on. Steals go in ring order from the next
+    /// node, so with three or more nodes the stolen entry need not be the oldest remote
+    /// one.
     ///
     /// Exactly one logical pick per call (the valve tick included), so a recorded
     /// `Pop`/`PopEmpty` event advances replayed policy state identically. With one shard
@@ -1861,49 +1860,36 @@ impl Scheduler {
         now: Instant,
     ) -> Option<(TaskMeta, Option<PickTier>, Option<TaskRef>)> {
         let n = self.shards.len();
-        if n > 1 && st.xvalve.crossed(now, self.config.process_quantum) {
-            for off in 1..n {
-                let vi = (st.si + off) % n;
-                if self.shard_ready[vi].load(Ordering::Relaxed) == 0 {
-                    continue;
-                }
-                let Some(mut vg) = self.try_lock_shard(vi) else {
-                    continue;
-                };
-                if let Some(meta) = vg.policy.pick_aged(&self.topo, core, now) {
-                    let task = vg.queued.remove(&meta.id);
-                    self.shard_ready[vi].fetch_sub(1, Ordering::Relaxed);
-                    self.stats.shards[st.si]
-                        .valve_crossings
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Some((meta, Some(PickTier::Aged), task));
-                }
+        let si = st.si;
+        let valve_due = n > 1 && st.xvalve.crossed(now, self.config.process_quantum);
+        split_pick(si, n, valve_due, |vi, visit| {
+            if vi == si {
+                let (meta, tier) = st.policy.pick_traced(&self.topo, core, now)?;
+                let task = st.queued.remove(&meta.id);
+                self.shard_ready[si].fetch_sub(1, Ordering::Relaxed);
+                return Some((meta, tier, task));
             }
-        }
-        if let Some((meta, tier)) = st.policy.pick_traced(&self.topo, core, now) {
-            let task = st.queued.remove(&meta.id);
-            self.shard_ready[st.si].fetch_sub(1, Ordering::Relaxed);
-            return Some((meta, tier, task));
-        }
-        if n > 1 {
-            for off in 1..n {
-                let vi = (st.si + off) % n;
-                if self.shard_ready[vi].load(Ordering::Relaxed) == 0 {
-                    continue;
-                }
-                let Some(mut vg) = self.try_lock_shard(vi) else {
-                    continue;
-                };
-                if let Some((meta, tier)) = vg.policy.pick_traced(&self.topo, core, now) {
-                    let task = vg.queued.remove(&meta.id);
-                    self.shard_ready[vi].fetch_sub(1, Ordering::Relaxed);
-                    // Steals are counted against the shard that lost the entry.
-                    self.stats.shards[vi].steals.fetch_add(1, Ordering::Relaxed);
-                    return Some((meta, tier, task));
-                }
+            if self.shard_ready[vi].load(Ordering::Relaxed) == 0 {
+                return None;
             }
-        }
-        None
+            let mut vg = self.try_lock_shard(vi)?;
+            let (meta, tier) = match visit {
+                ShardVisit::Aged => (
+                    vg.policy.pick_aged(&self.topo, core, now)?,
+                    Some(PickTier::Aged),
+                ),
+                ShardVisit::Tiered => vg.policy.pick_traced(&self.topo, core, now)?,
+            };
+            let task = vg.queued.remove(&meta.id);
+            self.shard_ready[vi].fetch_sub(1, Ordering::Relaxed);
+            match visit {
+                ShardVisit::Aged => &self.stats.shards[si].valve_crossings,
+                // Steals are counted against the shard that lost the entry.
+                ShardVisit::Tiered => &self.stats.shards[vi].steals,
+            }
+            .fetch_add(1, Ordering::Relaxed);
+            Some((meta, tier, task))
+        })
     }
 
     /// Pop ready tasks (local, valve, or stolen — see [`Scheduler::split_pick_once`])

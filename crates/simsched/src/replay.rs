@@ -23,11 +23,11 @@
 //! A trace whose `meta.policy` is `"sched_coop_split"` was recorded by the per-NUMA-node
 //! split-lock scheduler: one policy instance per node, with `Scheduler::split_pick_once`
 //! arbitrating between the local shard, the rate-limited cross-shard aging valve, and
-//! cross-shard stealing. The replay mirrors that shape — one [`CoopCore`] plus one
-//! [`CrossValve`] per node — and re-executes the exact pick ladder per recorded
-//! `Pop`/`PopEmpty` (the recording side guarantees one trace event per
-//! `split_pick_once` call). Two recording-side properties make this deterministic for
-//! the serial traces the fuzzer produces:
+//! cross-shard stealing. The replay keeps one [`CoopCore`] plus one [`CrossValve`] per
+//! node and drives them through [`split_pick`], the ladder function the scheduler itself
+//! calls, once per recorded `Pop`/`PopEmpty` (the recording side guarantees one trace
+//! event per `split_pick_once` call). Two recording-side properties make this
+//! deterministic for the serial traces the fuzzer produces:
 //!
 //! * the `shard_ready > 0` victim probe guard is equivalent to the victim policy's
 //!   `has_ready()` (both count exactly the shard's queued entries), and a serial
@@ -41,7 +41,7 @@
 //! `usf_nosv::sched_trace`) and are not fed through `assert_replays_clean`.
 
 use crate::time::SimTime;
-use usf_nosv::{CoopCore, CrossValve, PickTier, ProcessId, TaskId};
+use usf_nosv::{split_pick, CoopCore, CrossValve, PickTier, ProcessId, ShardVisit, TaskId};
 use usf_nosv::{TraceEntry, TraceEvent, TraceMeta};
 
 /// The first step at which the simulated policy disagreed with the recorded schedule.
@@ -147,39 +147,25 @@ impl ShardSet {
             .map_or(0, |c| self.shard_of(c))
     }
 
-    /// Re-execute one `Scheduler::split_pick_once` for `core`: cross-shard aging valve
-    /// (rate-limited, victim guarded by `has_ready` — the replay-side equivalent of the
-    /// `shard_ready` probe guard), then the local tiers, then the cross-shard steal.
-    /// With one shard this is exactly `pick_tiered`, matching the flat scheduler.
+    /// Re-execute one `Scheduler::split_pick_once` for `core`: the shared [`split_pick`]
+    /// ladder, with foreign shards guarded by `has_ready` (the replay-side equivalent of
+    /// the `shard_ready` probe guard). With one shard this is exactly `pick_tiered`,
+    /// matching the flat scheduler.
     fn pick_once(&mut self, core: usize, now: SimTime) -> Option<(TaskId, PickTier)> {
         let n = self.shards.len();
         let si = self.shard_of(core);
-        if n > 1 && self.valves[si].crossed(now, self.quantum) {
-            for off in 1..n {
-                let vi = (si + off) % n;
-                if !self.shards[vi].has_ready() {
-                    continue;
-                }
-                if let Some(t) = self.shards[vi].pick_aged_for(core, now) {
-                    return Some((t, PickTier::Aged));
-                }
+        let valve_due = n > 1 && self.valves[si].crossed(now, self.quantum);
+        let shards = &mut self.shards;
+        split_pick(si, n, valve_due, |vi, visit| {
+            let shard = &mut shards[vi];
+            if vi != si && !shard.has_ready() {
+                return None;
             }
-        }
-        if let Some(picked) = self.shards[si].pick_tiered(core, now) {
-            return Some(picked);
-        }
-        if n > 1 {
-            for off in 1..n {
-                let vi = (si + off) % n;
-                if !self.shards[vi].has_ready() {
-                    continue;
-                }
-                if let Some(picked) = self.shards[vi].pick_tiered(core, now) {
-                    return Some(picked);
-                }
+            match visit {
+                ShardVisit::Aged => shard.pick_aged_for(core, now).map(|t| (t, PickTier::Aged)),
+                ShardVisit::Tiered => shard.pick_tiered(core, now),
             }
-        }
-        None
+        })
     }
 }
 

@@ -86,7 +86,7 @@ proptest! {
     /// scheduler across the whole config matrix, replay through the simulator's policy
     /// with an identical pick sequence.
     #[test]
-    fn recorded_fuzz_runs_replay_without_drift(seed in 0u64..100_000, which in 0usize..6) {
+    fn recorded_fuzz_runs_replay_without_drift(seed in 0u64..100_000, which in 0usize..7) {
         let cfg = match which {
             0 => FuzzConfig::base(),
             1 => FuzzConfig::valve(),
@@ -94,9 +94,11 @@ proptest! {
             3 => FuzzConfig::domain_heavy(),
             // The split-lock scheduler records `sched_coop_split` traces, which replay
             // through the simulator's per-shard path (local tiers, cross-shard steal,
-            // cross-shard aging valve) — the drift gate for the per-node dispatch locks.
+            // cross-shard aging valve) — the drift gate for the per-node dispatch locks,
+            // on two nodes and, with `split_3node`, on three (ring-order victims).
             4 => FuzzConfig::split_lock(),
-            _ => FuzzConfig::split_valve(),
+            5 => FuzzConfig::split_valve(),
+            _ => FuzzConfig::split_3node(),
         };
         let ops = generate(&cfg, seed);
         let (result, meta, entries) = execute_traced(&cfg, &ops);
